@@ -55,10 +55,6 @@
 open Bechamel
 open Toolkit
 
-module Runner_kernels = struct
-  let kernels = Cgra_kernels.Kernels.all
-end
-
 (* The paper set, used by [all] and the micro benches; [list] and name
    lookup also see the extras (opt_report, search_report). *)
 let artifacts = Cgra_exp.Figures.artifacts
@@ -151,66 +147,62 @@ let run_micro () =
 
 (* ---- Ablations (DESIGN.md section 6) --------------------------------- *)
 
+module Chain = Cgra_verify.Chain
+
+(* Map, validate, simulate and golden-check through the shared chain. *)
+let chain ?(config = Cgra_core.Flow_config.basic)
+    ?(arch = Cgra_arch.Config.HOM64) kernel =
+  Chain.mapped (Chain.run ~config (Cgra_arch.Config.cgra arch) kernel)
+
+let by_slug slug = Chain.of_kernel (Option.get (Cgra_kernels.Kernels.by_slug slug))
+
 let ablation_beam () =
   print_endline "Ablation: beam width of the full flow (FFT @ HET2)";
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "fft") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET2 in
+  let k = by_slug "fft" in
   List.iter
     (fun beam ->
       let config =
         { Cgra_core.Flow_config.context_aware with beam_width = beam }
       in
       let t0 = Cgra_util.Clock.now () in
-      (match Cgra_core.Flow.run ~config cgra cdfg with
-       | Ok (m, _) ->
-         let prog = Cgra_asm.Assemble.assemble m in
-         let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-         let r = Cgra_sim.Simulator.run prog ~mem in
-         Printf.printf "  beam %3d: mapped, %d cycles, %d moves, %.2fs\n%!"
-           beam r.Cgra_sim.Simulator.cycles (Cgra_core.Mapping.total_moves m)
-           (Cgra_util.Clock.elapsed_s t0)
-       | Error f ->
-         Printf.printf "  beam %3d: FAILED (%s), %.2fs\n%!" beam
-           f.Cgra_core.Flow.reason
-           (Cgra_util.Clock.elapsed_s t0)))
+      match chain ~config ~arch:Cgra_arch.Config.HET2 k with
+      | Ok c ->
+        Printf.printf "  beam %3d: mapped, %d cycles, %d moves, %.2fs\n%!"
+          beam c.Chain.sim.Cgra_sim.Simulator.cycles
+          (Cgra_core.Mapping.total_moves c.Chain.mapping)
+          (Cgra_util.Clock.elapsed_s t0)
+      | Error reason ->
+        Printf.printf "  beam %3d: FAILED (%s), %.2fs\n%!" beam reason
+          (Cgra_util.Clock.elapsed_s t0))
     [ 4; 8; 16; 32; 48 ]
 
 let ablation_seeds () =
   print_endline "Ablation: stochastic-pruning seed (MatM @ HET1, full flow)";
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "matm") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET1 in
+  let k = by_slug "matm" in
   List.iter
     (fun seed ->
       let config = { Cgra_core.Flow_config.context_aware with seed } in
-      match Cgra_core.Flow.run ~config cgra cdfg with
-      | Ok (m, _) ->
-        let prog = Cgra_asm.Assemble.assemble m in
-        let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-        let r = Cgra_sim.Simulator.run prog ~mem in
+      match chain ~config ~arch:Cgra_arch.Config.HET1 k with
+      | Ok c ->
         Printf.printf "  seed %4d: mapped, %d cycles, %d context words max\n%!"
-          seed r.Cgra_sim.Simulator.cycles
+          seed c.Chain.sim.Cgra_sim.Simulator.cycles
           (Array.fold_left
              (fun acc u -> max acc (Cgra_core.Mapping.usage_total u))
              0
-             (Cgra_core.Mapping.tile_usage m))
-      | Error f -> Printf.printf "  seed %4d: FAILED (%s)\n%!" seed f.Cgra_core.Flow.reason)
+             (Cgra_core.Mapping.tile_usage c.Chain.mapping))
+      | Error reason -> Printf.printf "  seed %4d: FAILED (%s)\n%!" seed reason)
     [ 42; 7; 1234 ]
 
 let ablation_ports () =
   print_endline "Ablation: data-memory ports (Convolution @ HOM64, basic flow)";
   let k = Option.get (Cgra_kernels.Kernels.by_slug "convolution") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HOM64 in
-  match Cgra_core.Flow.run cgra cdfg with
-  | Error f -> Printf.printf "  mapping failed: %s\n" f.Cgra_core.Flow.reason
-  | Ok (m, _) ->
-    let prog = Cgra_asm.Assemble.assemble m in
+  match chain (Chain.of_kernel k) with
+  | Error reason -> Printf.printf "  mapping failed: %s\n" reason
+  | Ok c ->
     List.iter
       (fun ports ->
         let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-        let r = Cgra_sim.Simulator.run ~mem_ports:ports prog ~mem in
+        let r = Cgra_sim.Simulator.run ~mem_ports:ports c.Chain.program ~mem in
         Printf.printf "  %2d ports: %d cycles (%d stalls)\n%!" ports
           r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles)
       [ 1; 2; 4; 8 ]
@@ -223,24 +215,17 @@ let ablation_cfg_simplification () =
       let plain = Cgra_kernels.Kernel_def.cdfg k in
       let simple = Cgra_ir.Opt.simplify_cfg plain in
       let run cdfg =
-        match
-          Cgra_core.Flow.run ~config:Cgra_core.Flow_config.basic
-            (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64) cdfg
-        with
-        | Error _ -> None
-        | Ok (m, _) ->
-          let prog = Cgra_asm.Assemble.assemble m in
-          let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-          Some (Cgra_sim.Simulator.run prog ~mem).Cgra_sim.Simulator.cycles
+        chain { (Chain.of_kernel k) with Chain.lower = (fun ~raw:_ -> Ok cdfg) }
       in
       match run plain, run simple with
-      | Some a, Some b ->
+      | Ok a, Ok b ->
         Printf.printf "  %-14s %5d -> %5d cycles (%d blocks -> %d)\n%!"
-          k.Cgra_kernels.Kernel_def.name a b
+          k.Cgra_kernels.Kernel_def.name a.Chain.sim.Cgra_sim.Simulator.cycles
+          b.Chain.sim.Cgra_sim.Simulator.cycles
           (Cgra_ir.Cdfg.block_count plain)
           (Cgra_ir.Cdfg.block_count simple)
       | _, _ -> Printf.printf "  %-14s (mapping failed)\n%!" k.Cgra_kernels.Kernel_def.name)
-    Runner_kernels.kernels;
+    Cgra_kernels.Kernels.all;
   print_endline
     "  (the lowering attaches live-outs to join blocks, so this suite has\n\
     \   no trivial blocks; the pass pays off on if/else-heavy kernels)"
@@ -258,24 +243,23 @@ let ablation_if_conversion () =
   in
   let cdfg = Cgra_lang.Compile.compile_exn src in
   let conv = Cgra_ir.Opt.simplify_cfg (Cgra_ir.Opt.if_convert cdfg) in
+  let fresh_mem () = Array.init 64 (fun k -> if k < 24 then k * 7 mod 17 else 0) in
+  (* checked against the interpreter's run of the same CDFG *)
+  let golden c mem =
+    let mem = Array.copy mem in
+    ignore (Cgra_ir.Interp.run c ~mem);
+    mem
+  in
   let run label c =
-    match
-      Cgra_core.Flow.run ~config:Cgra_core.Flow_config.basic
-        (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64) c
-    with
-    | Error f -> Printf.printf "  %-14s mapping failed: %s\n%!" label f.Cgra_core.Flow.reason
-    | Ok (m, _) ->
-      let prog = Cgra_asm.Assemble.assemble m in
-      let mem = Array.make 64 0 in
-      for k = 0 to 23 do
-        mem.(k) <- (k * 7) mod 17
-      done;
-      let golden = Array.copy mem in
-      ignore (Cgra_ir.Interp.run c ~mem:golden);
-      let r = Cgra_sim.Simulator.run prog ~mem in
-      assert (mem = golden);
+    let kernel =
+      { Chain.name = label; lower = (fun ~raw:_ -> Ok c); fresh_mem;
+        golden = Some (golden c) }
+    in
+    match chain kernel with
+    | Error reason -> Printf.printf "  %-14s mapping failed: %s\n%!" label reason
+    | Ok m ->
       Printf.printf "  %-14s %5d cycles over %2d blocks\n%!" label
-        r.Cgra_sim.Simulator.cycles (Cgra_ir.Cdfg.block_count c)
+        m.Chain.sim.Cgra_sim.Simulator.cycles (Cgra_ir.Cdfg.block_count c)
   in
   run "branchy" cdfg;
   run "if-converted" conv

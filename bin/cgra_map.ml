@@ -3,7 +3,7 @@
    cgra_map list
    cgra_map map -k <kernel> [-c <config>] [-f <flow>] [--opt] [--jobs N]
                 [--trace FILE] [--dump-dfg before|after] [--asm] [--simulate]
-                [--validate] [--degrade] [--max-attempts N] [--faults FILE]
+                [--degrade] [--max-attempts N] [--faults FILE]
                 [--protect none|parity|secded]
    cgra_map fault -k <kernel> [-c <config>] [-f <flow>] [--seed N]
                   [--trials K] [--show M] [--protect none|parity|secded]
@@ -11,6 +11,7 @@
    cgra_map artifacts <name|all>  regenerate paper tables/figures *)
 
 open Cmdliner
+module Chain = Cgra_verify.Chain
 
 (* FILE arguments fail as one-line typed errors (exit 1), never as raw
    Sys_error backtraces. *)
@@ -77,17 +78,25 @@ let protect_of_flag s =
 let protect_arg ~doc =
   Arg.(value & opt string "none" & info [ "protect" ] ~doc ~docv:"LEVEL")
 
-(* The simulator-facing form of a protection profile: [None] when the
-   profile is all-Unprotected so the unprotected code path runs. *)
-let sim_protect_of profile =
-  if Cgra_arch.Protection.is_none profile then None
-  else
-    Some
-      {
-        Cgra_sim.Simulator.profile;
-        upsets = [];
-        scrub_interval = Cgra_arch.Protection.default_scrub_interval;
-      }
+let print_escalations =
+  List.iter (fun e ->
+      Printf.printf "  escalation: %s\n" (Cgra_core.Flow.escalation_to_string e))
+
+(* Run the validated chain: exit 2 when there is no mapping, 3 when the
+   chain refuses the result (invalid artifact, golden mismatch, ...). *)
+let chain_or_exit ?opt ~config cgra kernel =
+  match Chain.run ?opt ~config cgra kernel with
+  | Ok (Chain.Mapped m) -> m
+  | Ok (Chain.Unmappable { failure = f; _ }) ->
+    Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
+    print_escalations f.Cgra_core.Flow.gave_up;
+    exit 2
+  | Ok (Chain.Timed_out { where }) ->
+    Printf.printf "no mapping: timed out (%s)\n" where;
+    exit 2
+  | Error e ->
+    Printf.eprintf "%s\n" (Chain.failure_to_string e);
+    exit 3
 
 let list_cmd =
   let doc = "List the bundled kernels and CGRA configurations." in
@@ -139,14 +148,6 @@ let map_cmd =
                    deterministic; only wall_seconds varies across runs."
              ~docv:"FILE")
   in
-  let validate =
-    Arg.(value & flag
-         & info [ "validate" ]
-             ~doc:"Re-check the produced mapping with the independent \
-                   cgra_verify validator (context-memory capacity, \
-                   neighbour distances, operand readiness, encoding \
-                   round-trip, ...) before reporting it.")
-  in
   let degrade =
     Arg.(value & flag
          & info [ "degrade" ]
@@ -197,7 +198,13 @@ let map_cmd =
   in
   let dump_asm = Arg.(value & flag & info [ "asm" ] ~doc:"Print the per-tile assembly.") in
   let schedule = Arg.(value & flag & info [ "schedule" ] ~doc:"Print per-block schedule grids.") in
-  let simulate = Arg.(value & flag & info [ "simulate" ] ~doc:"Run the cycle-level simulator and verify.") in
+  let simulate =
+    Arg.(value & flag
+         & info [ "simulate" ]
+             ~doc:"Print the cycle-level simulation and energy.  Every \
+                   mapping is validated and simulated against the golden \
+                   model either way.")
+  in
   let opt =
     Arg.(value & flag
          & info [ "opt" ]
@@ -261,19 +268,16 @@ let map_cmd =
          cm16=none).  Part of the artifact key; --simulate and --emit run \
          through the ECC fetch path and account its energy."
   in
-  let run slug config flow opt jobs validate degrade max_attempts faults_file
-      trace dump_dfg emit dump_asm schedule simulate backend protect =
+  let run slug config flow opt jobs degrade max_attempts faults_file trace
+      dump_dfg emit dump_asm schedule simulate backend protect =
     let protection = protect_of_flag protect in
     match Cgra_kernels.Kernels.by_slug slug with
     | None ->
       Printf.eprintf "unknown kernel %s (try: cgra_map list)\n" slug;
       exit 1
-    | Some k -> (
-      let cdfg =
-        if opt then Cgra_kernels.Kernel_def.cdfg_raw k
-        else Cgra_kernels.Kernel_def.cdfg k
-      in
-      if validate then Cgra_verify.Validator.install ();
+    | Some k ->
+      let kernel = Chain.of_kernel k in
+      let opt = if opt then Chain.Optimized else Chain.Default in
       let faults =
         match faults_file with
         | None -> []
@@ -286,17 +290,8 @@ let map_cmd =
       in
       let flow =
         { flow with
-          Cgra_core.Flow_config.optimize = opt; expand_jobs = max 1 jobs;
-          validate; degrade; max_attempts = max 1 max_attempts; faults;
-          backend; protection }
-      in
-      let sim_protect = sim_protect_of protection in
-      let opt_verify =
-        if opt then
-          Some
-            (Cgra_opt.Pipeline.verifier_of_mems
-               [ Cgra_kernels.Kernel_def.fresh_mem k ])
-        else None
+          Cgra_core.Flow_config.expand_jobs = max 1 jobs; degrade;
+          max_attempts = max 1 max_attempts; faults; backend; protection }
       in
       let cgra = Cgra_arch.Config.cgra config in
       (if faults <> [] then
@@ -311,106 +306,70 @@ let map_cmd =
                 (List.map Cgra_arch.Cgra.fault_to_string
                    (Cgra_arch.Cgra.faults degraded)));
            Format.printf "%a@." Cgra_arch.Cgra.pp_grid degraded);
-      if dump_dfg = Some `Before then dump_dfg_of cdfg;
-      let print_escalations = function
-        | [] -> ()
-        | es ->
-          List.iter
-            (fun e ->
-              Printf.printf "  escalation: %s\n"
-                (Cgra_core.Flow.escalation_to_string e))
-            es
-      in
-      match Cgra_core.Flow.run ~config:flow ?opt_verify cgra cdfg with
-      | Error f ->
-        Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
-        print_escalations f.Cgra_core.Flow.gave_up;
-        exit 2
-      | Ok (m, stats) ->
-        print_escalations stats.Cgra_core.Flow.escalations;
-        (match trace with
-         | Some file ->
-           write_trace file slug config stats;
-           Printf.printf "search trace written to %s\n" file
-         | None -> ());
-        (match stats.Cgra_core.Flow.opt with
-         | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
-         | None -> ());
-        if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
-        Format.printf "%a@." Cgra_core.Mapping.pp_summary m;
-        Format.printf "recomputes: %d, population peak: %d@."
-          stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
-        if schedule then
-          Array.iteri
-            (fun bi _ -> Format.printf "%a@." Cgra_core.Mapping.pp_schedule (m, bi))
-            m.Cgra_core.Mapping.bbs;
-        let prog = Cgra_asm.Assemble.assemble m in
-        (match emit with
-         | None -> ()
-         | Some file ->
-           let module Serve = Cgra_serve in
-           let spec =
-             match
-               Serve.Key.spec_of_bundled ~slug ~config ~flow
-                 ~opt:(if opt then Serve.Key.Optimized else Serve.Key.Default)
-                 ~faults
-             with
-             | Ok s -> s
-             | Error e ->
-               Printf.eprintf "--emit: %s\n" e;
-               exit 1
-           in
-           let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-           let r = Cgra_sim.Simulator.run ?protect:sim_protect prog ~mem in
-           let e =
-             match sim_protect with
-             | None -> Cgra_power.Energy.cgra m.Cgra_core.Mapping.cgra r
-             | Some _ ->
-               Cgra_power.Energy.cgra ~protect:protection
-                 m.Cgra_core.Mapping.cgra r
-           in
-           let bytes =
-             Serve.Artifact.render ~key_digest:(Serve.Key.digest spec) ~spec
-               prog r e
-           in
-           write_file_or_die ~what:"--emit" file bytes;
-           Printf.printf "artifact %s written to %s (%d bytes)\n"
-             (Serve.Artifact.digest bytes) file (String.length bytes));
-        if dump_asm then
-          Array.iteri
-            (fun t tp -> Format.printf "%a@." Cgra_asm.Assemble.pp_tile (t, tp))
-            prog.Cgra_asm.Assemble.tiles;
-        if simulate then begin
-          let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-          let r = Cgra_sim.Simulator.run ?protect:sim_protect prog ~mem in
-          let ok = mem = Cgra_kernels.Kernel_def.run_golden k in
-          let e =
-            match sim_protect with
-            | None -> Cgra_power.Energy.cgra m.Cgra_core.Mapping.cgra r
-            | Some _ ->
-              Cgra_power.Energy.cgra ~protect:protection
-                m.Cgra_core.Mapping.cgra r
-          in
+      (match (dump_dfg, Chain.cdfg opt kernel) with
+       | Some `Before, Ok cdfg -> dump_dfg_of cdfg
+       | _ -> ());
+      let c = chain_or_exit ~opt ~config:flow cgra kernel in
+      let m = c.Chain.mapping and stats = c.Chain.stats in
+      print_escalations stats.Cgra_core.Flow.escalations;
+      (match trace with
+       | Some file ->
+         write_trace file slug config stats;
+         Printf.printf "search trace written to %s\n" file
+       | None -> ());
+      (match stats.Cgra_core.Flow.opt with
+       | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
+       | None -> ());
+      if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
+      Format.printf "%a@." Cgra_core.Mapping.pp_summary m;
+      Format.printf "recomputes: %d, population peak: %d@."
+        stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
+      if schedule then
+        Array.iteri
+          (fun bi _ -> Format.printf "%a@." Cgra_core.Mapping.pp_schedule (m, bi))
+          m.Cgra_core.Mapping.bbs;
+      (match emit with
+       | None -> ()
+       | Some file ->
+         let module Serve = Cgra_serve in
+         let spec =
+           match Serve.Key.spec_of_bundled ~slug ~config ~flow ~opt ~faults with
+           | Ok s -> s
+           | Error e ->
+             Printf.eprintf "--emit: %s\n" e;
+             exit 1
+         in
+         let bytes =
+           Serve.Artifact.render ~key_digest:(Serve.Key.digest spec) ~spec
+             c.Chain.program c.Chain.sim c.Chain.energy
+         in
+         write_file_or_die ~what:"--emit" file bytes;
+         Printf.printf "artifact %s written to %s (%d bytes)\n"
+           (Serve.Artifact.digest bytes) file (String.length bytes));
+      if dump_asm then
+        Array.iteri
+          (fun t tp -> Format.printf "%a@." Cgra_asm.Assemble.pp_tile (t, tp))
+          c.Chain.program.Cgra_asm.Assemble.tiles;
+      if simulate then begin
+        let r = c.Chain.sim and e = c.Chain.energy in
+        Format.printf
+          "simulated: %d cycles (%d stalls), functional check PASSED, %.3f uJ@."
+          r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles
+          (Cgra_power.Energy.to_uj e.Cgra_power.Energy.total_pj);
+        match r.Cgra_sim.Simulator.ecc with
+        | Some ecc ->
           Format.printf
-            "simulated: %d cycles (%d stalls), functional check %s, %.3f uJ@."
-            r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles
-            (if ok then "PASSED" else "FAILED")
-            (Cgra_power.Energy.to_uj e.Cgra_power.Energy.total_pj);
-          (match (r.Cgra_sim.Simulator.ecc, sim_protect) with
-           | Some ecc, Some _ ->
-             Format.printf
-               "protection %s: %d detected, %d corrected, %d scrub cycles, \
-                %.1f pJ ECC@."
-               (Cgra_arch.Protection.profile_to_string protection)
-               ecc.Cgra_sim.Simulator.detected ecc.Cgra_sim.Simulator.corrected
-               ecc.Cgra_sim.Simulator.scrub_cycles
-               e.Cgra_power.Energy.protect_pj
-           | _ -> ());
-          if not ok then exit 3
-        end)
+            "protection %s: %d detected, %d corrected, %d scrub cycles, \
+             %.1f pJ ECC@."
+            (Cgra_arch.Protection.profile_to_string protection)
+            ecc.Cgra_sim.Simulator.detected ecc.Cgra_sim.Simulator.corrected
+            ecc.Cgra_sim.Simulator.scrub_cycles
+            e.Cgra_power.Energy.protect_pj
+        | None -> ()
+      end
   in
   Cmd.v (Cmd.info "map" ~doc)
-    Term.(const run $ kernel $ config $ flow $ opt $ jobs $ validate $ degrade
+    Term.(const run $ kernel $ config $ flow $ opt $ jobs $ degrade
           $ max_attempts $ faults_file $ trace $ dump_dfg $ emit $ dump_asm
           $ schedule $ simulate $ backend $ protect)
 
@@ -468,47 +427,43 @@ let fault_cmd =
     | None ->
       Printf.eprintf "unknown kernel %s (try: cgra_map list)\n" slug;
       exit 1
-    | Some k -> (
-      let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-      let cgra = Cgra_arch.Config.cgra config in
-      match Cgra_core.Flow.run ~config:flow cgra cdfg with
-      | Error f ->
-        Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
-        exit 2
-      | Ok (m, _) ->
-        let module F = Cgra_verify.Fault in
-        let program = Cgra_asm.Assemble.assemble m in
-        let key =
-          Printf.sprintf "%s/%s/%s/fault" slug
-            (Cgra_arch.Config.to_string config)
-            (Cgra_core.Flow_config.steps_of flow)
-        in
-        let c =
-          F.run_campaign ?jobs ~protect:protection ~seed ~trials ~key
-            ~fresh_mem:(fun () -> Cgra_kernels.Kernel_def.fresh_mem k)
-            program
-        in
-        let s = c.F.summary in
-        Printf.printf
-          "campaign %s: %d trials, seed %d, fault-free %d cycles\n\
-           masked %d, wrong-output %d, crash %d, hang %d  (%.1f%% masked)\n"
-          key s.F.trials seed c.F.golden_cycles s.F.masked s.F.wrong_output
-          s.F.crash s.F.hang
-          (100.0 *. float_of_int s.F.masked /. float_of_int s.F.trials);
-        if not (Cgra_arch.Protection.is_none protection) then
-          Printf.printf "protection %s: detected %d, corrected %d\n"
-            (Cgra_arch.Protection.profile_to_string protection)
-            s.F.detected s.F.corrected;
-        let interesting =
-          List.filter (fun (t : F.trial) -> t.F.outcome <> F.Masked) c.F.runs
-        in
-        List.iteri
-          (fun i (t : F.trial) ->
-            if i < show then
-              Printf.printf "  trial %3d: %s -> %s\n" t.F.index
-                (F.injection_to_string t.F.injection)
-                (F.outcome_to_string t.F.outcome))
-          interesting)
+    | Some k ->
+      let mapped =
+        chain_or_exit ~config:flow (Cgra_arch.Config.cgra config)
+          (Chain.of_kernel k)
+      in
+      let module F = Cgra_verify.Fault in
+      let key =
+        Printf.sprintf "%s/%s/%s/fault" slug
+          (Cgra_arch.Config.to_string config)
+          (Cgra_core.Flow_config.steps_of flow)
+      in
+      let c =
+        F.run_campaign ?jobs ~protect:protection ~seed ~trials ~key
+          ~fresh_mem:(fun () -> Cgra_kernels.Kernel_def.fresh_mem k)
+          mapped.Chain.program
+      in
+      let s = c.F.summary in
+      Printf.printf
+        "campaign %s: %d trials, seed %d, fault-free %d cycles\n\
+         masked %d, wrong-output %d, crash %d, hang %d  (%.1f%% masked)\n"
+        key s.F.trials seed c.F.golden_cycles s.F.masked s.F.wrong_output
+        s.F.crash s.F.hang
+        (100.0 *. float_of_int s.F.masked /. float_of_int s.F.trials);
+      if not (Cgra_arch.Protection.is_none protection) then
+        Printf.printf "protection %s: detected %d, corrected %d\n"
+          (Cgra_arch.Protection.profile_to_string protection)
+          s.F.detected s.F.corrected;
+      let interesting =
+        List.filter (fun (t : F.trial) -> t.F.outcome <> F.Masked) c.F.runs
+      in
+      List.iteri
+        (fun i (t : F.trial) ->
+          if i < show then
+            Printf.printf "  trial %3d: %s -> %s\n" t.F.index
+              (F.injection_to_string t.F.injection)
+              (F.outcome_to_string t.F.outcome))
+        interesting
   in
   Cmd.v (Cmd.info "fault" ~doc)
     Term.(const run $ kernel $ config $ flow $ seed $ trials $ jobs $ show
@@ -742,10 +697,7 @@ let remote_cmd =
             Printf.eprintf "--faults %s: %s\n" file e;
             exit 1)
       in
-      let flow =
-        { flow with
-          Cgra_core.Flow_config.optimize = opt; faults; backend; protection }
-      in
+      let flow = { flow with Cgra_core.Flow_config.backend; protection } in
       let spec =
         match
           Serve.Key.spec_of_bundled ~slug ~config ~flow

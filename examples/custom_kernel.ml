@@ -56,20 +56,28 @@ let () =
   assert (mem = golden (init_mem ()));
   Format.printf "interpreter matches the OCaml golden model@.";
 
-  (* CGRA side *)
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET1 in
-  let mapping =
-    match
-      Cgra_core.Flow.run ~config:Cgra_core.Flow_config.context_aware cgra cdfg
-    with
-    | Ok (m, _) -> m
-    | Error f -> failwith f.Cgra_core.Flow.reason
+  (* CGRA side: map, validate, simulate against the golden model, price *)
+  let module Chain = Cgra_verify.Chain in
+  let kernel =
+    { Chain.name = "xcorr";
+      lower =
+        (fun ~raw ->
+          Result.map_error Cgra_lang.Compile.error_to_string
+            (Cgra_lang.Compile.compile ~raw source));
+      fresh_mem = init_mem;
+      golden = Some golden }
   in
-  let program = Cgra_asm.Assemble.assemble mapping in
-  let mem = init_mem () in
-  let cgra_run = Cgra_sim.Simulator.run program ~mem in
-  assert (mem = golden (init_mem ()));
-  let cgra_energy = Cgra_power.Energy.cgra cgra cgra_run in
+  let c =
+    match
+      Chain.mapped
+        (Chain.run ~config:Cgra_core.Flow_config.context_aware
+           (Cgra_arch.Config.cgra Cgra_arch.Config.HET1)
+           kernel)
+    with
+    | Ok c -> c
+    | Error reason -> failwith reason
+  in
+  let cgra_run = c.Chain.sim and cgra_energy = c.Chain.energy in
 
   (* CPU side *)
   let cpu_prog = Cgra_cpu.Codegen.compile cdfg in

@@ -13,19 +13,17 @@ module E = Cgra_power.Energy
 module K = Cgra_kernels.Kernel_def
 
 let report k config flow label =
-  let cgra = Config.cgra config in
-  match Cgra_core.Flow.run ~config:flow cgra (K.cdfg k) with
-  | Error f -> Format.printf "%-22s no mapping (%s)@." label f.Cgra_core.Flow.reason
-  | Ok (m, _) ->
-    let prog = Cgra_asm.Assemble.assemble m in
-    let mem = K.fresh_mem k in
-    let r = Cgra_sim.Simulator.run prog ~mem in
-    assert (mem = K.run_golden k);
-    let e = E.cgra cgra r in
+  let module Chain = Cgra_verify.Chain in
+  match
+    Chain.mapped (Chain.run ~config:flow (Config.cgra config) (Chain.of_kernel k))
+  with
+  | Error reason -> Format.printf "%-22s no mapping (%s)@." label reason
+  | Ok c ->
+    let e = c.Chain.energy in
     Format.printf
       "%-22s %6d cycles | fetch %6.0f  compute %6.0f  moves %5.0f  dmem %6.0f  leak %6.0f | total %7.0f pJ@."
-      label r.Cgra_sim.Simulator.cycles e.E.fetch_pj e.E.compute_pj e.E.moves_pj
-      e.E.memory_pj e.E.leakage_pj e.E.total_pj
+      label c.Chain.sim.Cgra_sim.Simulator.cycles e.E.fetch_pj e.E.compute_pj
+      e.E.moves_pj e.E.memory_pj e.E.leakage_pj e.E.total_pj
 
 let () =
   let slug = if Array.length Sys.argv > 1 then Sys.argv.(1) else "convolution" in

@@ -10,6 +10,7 @@
    they cannot (serial recurrences like the DC filter). *)
 
 module K = Cgra_kernels.Kernel_def
+module Chain = Cgra_verify.Chain
 
 let arrays =
   [ ("4x4/32", Cgra_arch.Cgra.make ~rows:4 ~cols:4 ~cm_of_tile:(fun _ -> 32) ());
@@ -24,16 +25,12 @@ let () =
       List.iter
         (fun (_, cgra) ->
           match
-            Cgra_core.Flow.run ~config:Cgra_core.Flow_config.context_aware
-              cgra (K.cdfg k)
+            Chain.mapped
+              (Chain.run ~config:Cgra_core.Flow_config.context_aware cgra
+                 (Chain.of_kernel k))
           with
           | Error _ -> Format.printf " %10s" "-"
-          | Ok (m, _) ->
-            let prog = Cgra_asm.Assemble.assemble m in
-            let mem = K.fresh_mem k in
-            let r = Cgra_sim.Simulator.run prog ~mem in
-            assert (mem = K.run_golden k);
-            Format.printf " %9dc" r.Cgra_sim.Simulator.cycles)
+          | Ok c -> Format.printf " %9dc" c.Chain.sim.Cgra_sim.Simulator.cycles)
         arrays;
       Format.printf "@.")
     Cgra_kernels.Kernels.all;

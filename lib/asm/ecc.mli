@@ -15,9 +15,6 @@ type verdict =
   | Corrected of int64  (** single-bit error; the repaired word *)
   | Detected  (** uncorrectable — the fetch must not be consumed *)
 
-val parity64 : int64 -> int
-(** XOR of the 64 bits (0 or 1). *)
-
 val check_bits : Cgra_arch.Protection.kind -> int64 -> int
 (** Check bits of a word under the given protection kind (0 for
     [Unprotected], 1 bit for [Parity], 8 bits for [Secded]). *)

@@ -88,14 +88,6 @@ val traversal_order : Flow_config.traversal -> Cgra_ir.Cdfg.t -> int list
 (** Forward: weak topological order of the CFG from the entry.  Weighted:
     descending block weight Wbb, forward order breaking ties. *)
 
-val set_validator : (Mapping.t -> string list) -> unit
-(** Installs the independent mapping validator consulted when
-    [Flow_config.validate] is set.  The validator returns human-readable
-    violation descriptions ([[]] = clean); a non-empty list turns the run
-    into a typed {!failure}.  [Cgra_core] cannot depend on the checker
-    (it lives above the assembler), hence this hook —
-    [Cgra_verify.Validator.install] is the canonical caller. *)
-
 val run :
   ?config:Flow_config.t ->
   ?deadline:Cgra_util.Deadline.t ->
@@ -120,9 +112,9 @@ val run :
     With [config.degrade] set, a failed attempt escalates through a
     bounded retry ladder (reseeded pruning, wider beam, relaxed
     thresholds; at most [config.max_attempts] attempts), recording each
-    step — see {!stats.escalations} and {!failure.gave_up}.  With
-    [config.validate] set, a successful mapping is additionally re-checked
-    by the installed {!set_validator} hook before being reported.
+    step — see {!stats.escalations} and {!failure.gave_up}.  The flow
+    does not validate its own output; [Cgra_verify.Chain] checks every
+    assembled program independently.
 
     When [config.optimize] is set, the CDFG first goes through the
     [cgra_opt] pipeline, differentially verified against [opt_verify]
@@ -154,8 +146,9 @@ val run_partial :
     and [homes] must not keep a symbol on a faulted tile
     ([Cgra_verify.Repair] computes both from the diagnosis).  Reused
     placements are {e not} re-validated here beyond the final context-fit
-    check — run with [config.validate] (as the repair loop does) to
-    re-check the merged mapping independently.
+    check: the caller re-checks the merged mapping ([Cgra_verify.Repair]
+    runs the validator on the true degraded array, then the simulator
+    against the golden model).
 
-    Retries, the graceful-degradation ladder, and validation behave as in
-    {!run}; determinism for a fixed [config.seed] is preserved. *)
+    Retries and the graceful-degradation ladder behave as in {!run};
+    determinism for a fixed [config.seed] is preserved. *)

@@ -18,7 +18,6 @@ type t = {
   seed : int;
   optimize : bool;
   expand_jobs : int;
-  validate : bool;
   degrade : bool;
   max_attempts : int;
   faults : Cgra_arch.Cgra.fault list;
@@ -44,7 +43,6 @@ let default =
     seed = 42;
     optimize = false;
     expand_jobs = 1;
-    validate = false;
     degrade = false;
     max_attempts = 6;
     faults = [];

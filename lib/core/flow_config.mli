@@ -68,13 +68,6 @@ type t = {
           mapping, the search telemetry and the deterministic [work]
           counter are byte-identical at any value; only wall-clock time
           changes. *)
-  validate : bool;
-      (** independently re-check every architectural invariant of a
-          successful mapping with the [cgra_verify] validator before
-          reporting it (default false, so the seed artifacts stay
-          byte-identical).  Requires a validator to be installed — see
-          {!Flow.set_validator} / [Cgra_verify.Validator.install]; a
-          violation turns the result into a typed {!Flow.failure}. *)
   degrade : bool;
       (** graceful degradation: when an attempt fails, escalate through a
           bounded retry ladder — wider beam, reseeded stochastic pruning,

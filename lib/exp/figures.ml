@@ -505,7 +505,6 @@ let fault_report () =
           @ (if protected_ then [ "-"; "-" ] else [])
           @ [ "-"; "unmappable: " ^ u.reason ]
         | Runner.Mapped r ->
-          let program = Cgra_asm.Assemble.assemble r.Runner.mapping in
           let key =
             k.K.slug ^ "/" ^ Config.to_string config ^ "/"
             ^ Runner.flow_label flow ^ "/fault"
@@ -513,7 +512,7 @@ let fault_report () =
           let c =
             F.run_campaign ~protect:prot ~seed:fault_seed ~trials ~key
               ~fresh_mem:(fun () -> K.fresh_mem k)
-              program
+              r.Runner.program
           in
           let by_class p =
             List.length
@@ -596,7 +595,7 @@ let protection_report () =
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
                 "-"; "-"; "-" ]
             | Runner.Mapped r ->
-              let program = Cgra_asm.Assemble.assemble r.Runner.mapping in
+              let program = r.Runner.program in
               let key =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
                 ^ Runner.flow_label flow ^ "/protect"
@@ -611,20 +610,12 @@ let protection_report () =
                 s.F.wrong_output + s.F.crash + s.F.hang
               in
               let overhead level lbl =
-                let protect =
-                  {
-                    Cgra_sim.Simulator.profile = level;
-                    upsets = [];
-                    scrub_interval = P.default_scrub_interval;
-                  }
-                in
-                let mem = K.fresh_mem k in
                 let sim =
-                  Cgra_sim.Simulator.run ~protect program ~mem
+                  Cgra_sim.Simulator.run
+                    ?protect:(Cgra_sim.Simulator.protect_of level)
+                    program ~mem:(K.fresh_mem k)
                 in
-                let e =
-                  E.cgra ~protect:level (Config.cgra config) sim
-                in
+                let e = E.cgra ~protect:level (Config.cgra config) sim in
                 let pct =
                   100.0
                   *. ((e.E.total_pj /. r.Runner.energy.E.total_pj) -. 1.0)
@@ -861,35 +852,19 @@ let optimality_report () =
     go 0
   in
   let exact_cell k config =
-    let cdfg = K.cdfg k in
-    let cgra = Config.cgra config in
     let fc =
       { (Runner.cell_flow_config k.K.slug config Runner.Full) with
         FC.backend = FC.Exact;
         retries = 0 }
     in
-    match Cgra_core.Flow.run ~config:fc cgra cdfg with
-    | Error f -> `Unmapped f.Cgra_core.Flow.reason
-    | Ok (mapping, _) -> (
-      match Cgra_asm.Assemble.assemble mapping with
-      | exception Cgra_asm.Assemble.Assembly_error e ->
-        `Unmapped ("assembly: " ^ e)
-      | program ->
-        (match Cgra_verify.Validator.check program with
-         | [] -> ()
-         | vs ->
-           artifact_error "optimality_report"
-             "exact mapping of %s on %s fails validation: %s" k.K.name
-             (Config.to_string config)
-             (String.concat "; "
-                (List.map Cgra_verify.Validator.to_string vs)));
-        let mem = K.fresh_mem k in
-        let sim = Cgra_sim.Simulator.run program ~mem in
-        if mem <> K.run_golden k then
-          artifact_error "optimality_report"
-            "exact mapping of %s on %s disagrees with the golden model"
-            k.K.name (Config.to_string config);
-        `Mapped (mapping, sim, E.cgra cgra sim))
+    let module Chain = Cgra_verify.Chain in
+    match Chain.run ~config:fc (Config.cgra config) (Chain.of_kernel k) with
+    | Ok (Chain.Mapped c) -> `Mapped (c.Chain.mapping, c.Chain.sim, c.Chain.energy)
+    | Ok (Chain.Unmappable { failure; _ }) -> `Unmapped failure.Cgra_core.Flow.reason
+    | Ok (Chain.Timed_out { where }) -> `Unmapped ("timed out: " ^ where)
+    | Error f ->
+      artifact_error "optimality_report" "exact mapping of %s on %s: %s"
+        k.K.name (Config.to_string config) (Chain.failure_to_string f)
   in
   let rows =
     List.concat_map

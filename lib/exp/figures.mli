@@ -17,31 +17,8 @@ val fig5 : unit -> string
 (** Fig 5 — per-basic-block pnop and move counts of the FFT kernel under
     the weighted traversal, normalised to the forward traversal. *)
 
-val fig6 : unit -> string
-(** Fig 6 — latency per kernel and configuration, basic + ACMAP,
-    normalised to the basic mapping on HOM64; 0 marks "no mapping". *)
-
-val fig7 : unit -> string
-(** Fig 7 — same with basic + ACMAP + ECMAP. *)
-
-val fig8 : unit -> string
-(** Fig 8 — same with the full flow (+ CAB). *)
-
-val fig9 : unit -> string
-(** Fig 9 — average compilation time after each added step, normalised to
-    the basic flow. *)
-
-val fig10 : unit -> string
-(** Fig 10 — execution cycles of basic@HOM64 and context-aware@HET1/HET2
-    normalised to the CPU, with the speed-up summary. *)
-
 val fig11 : unit -> string
 (** Fig 11 — area breakdown of HOM64/HET1/HET2 against the CPU system. *)
-
-val table2 : unit -> string
-(** Table II — energy in uJ for CPU / basic@HOM64 / aware@HET1 /
-    aware@HET2 with gain factors and the summary statistics the abstract
-    quotes. *)
 
 val opt_report : unit -> string
 (** Not in the paper: what the [cgra_opt] pipeline recovers from the
@@ -141,12 +118,6 @@ val run_all : unit -> string
 val artifacts : (string * (unit -> string)) list
 (** Name-to-renderer table of the paper artifacts, in {!run_all} order —
     the single source of truth for the drivers' artifact lookup. *)
-
-val extra_artifacts : (string * (unit -> string)) list
-(** Beyond-the-paper artifacts ({!opt_report}, {!search_report},
-    {!fault_report}, {!protection_report}, {!repair_report},
-    {!optimality_report}); not part of [run_all] so the seed output stays
-    byte-identical. *)
 
 val all_artifacts : (string * (unit -> string)) list
 val artifact_names : string list

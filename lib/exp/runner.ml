@@ -1,33 +1,21 @@
 module FC = Cgra_core.Flow_config
 module K = Cgra_kernels.Kernel_def
-module Clock = Cgra_util.Clock
+module Chain = Cgra_verify.Chain
 module Pool = Cgra_util.Pool
 module Rng = Cgra_util.Rng
 
-(* A mapped program whose simulation disagrees with the kernel's golden
-   model, or whose artifact fails the independent validator — both are
-   tool bugs, and the harness refuses to report numbers from them. *)
-exception Golden_mismatch of { kernel : string; target : string }
-
+(* A cell the chain refused — an invalid artifact, a golden mismatch, a
+   simulator error: tool bugs the harness refuses to report numbers from. *)
 exception
-  Invalid_artifact of { kernel : string; target : string; violations : string list }
+  Failed of { kernel : string; target : string; failure : Chain.failure }
 
 let () =
   Printexc.register_printer (function
-    | Golden_mismatch { kernel; target } ->
+    | Failed { kernel; target; failure } ->
       Some
-        (Printf.sprintf
-           "Runner.Golden_mismatch (%s on %s: simulated memory image disagrees \
-            with the golden model)"
-           kernel target)
-    | Invalid_artifact { kernel; target; violations } ->
-      Some
-        (Printf.sprintf "Runner.Invalid_artifact (%s on %s: %s)" kernel target
-           (String.concat "; " violations))
+        (Printf.sprintf "Runner.Failed (%s on %s: %s)" kernel target
+           (Chain.failure_to_string failure))
     | _ -> None)
-
-(* Make [Flow_config.validate] usable everywhere the harness is linked. *)
-let () = Cgra_verify.Validator.install ()
 
 type flow_kind = Basic | With_acmap | With_ecmap | Full
 
@@ -45,10 +33,7 @@ let flow_config = function
   | With_ecmap -> FC.with_acmap_ecmap
   | Full -> FC.context_aware
 
-(* Which CDFG a cell maps: the seed default (inline-optimized lowering),
-   the naive lowering, or the naive lowering put through the [cgra_opt]
-   pipeline inside [Flow.run]. *)
-type opt_mode = Default | Raw | Optimized
+type opt_mode = Chain.opt = Default | Raw | Optimized
 
 let opt_mode_label = function Default -> "" | Raw -> "+RAW" | Optimized -> "+OPT"
 
@@ -56,7 +41,6 @@ let opt_mode_label = function Default -> "" | Raw -> "+RAW" | Optimized -> "+OPT
    seed artifact byte-identical. *)
 let global_opt_mode = Atomic.make Default
 let set_opt_mode m = Atomic.set global_opt_mode m
-let opt_mode () = Atomic.get global_opt_mode
 
 (* Every grid cell runs on its own split of the SplitMix64 stream, keyed by
    the cell's identity.  The cell's results therefore do not depend on how
@@ -70,16 +54,12 @@ let cell_key ?(opt = Default) slug config flow =
 
 let cell_flow_config ?(opt = Default) slug config flow =
   let fc = flow_config flow in
-  let fc =
-    match opt with
-    | Default | Raw -> fc
-    | Optimized -> { fc with FC.optimize = true }
-  in
   { fc with
     FC.seed = Rng.seed_of ~base:fc.FC.seed (cell_key ~opt slug config flow) }
 
 type run = {
   mapping : Cgra_core.Mapping.t;
+  program : Cgra_asm.Assemble.program;
   sim : Cgra_sim.Simulator.result;
   cycles : int;
   energy : Cgra_power.Energy.breakdown;
@@ -246,64 +226,33 @@ let publish_artifact opt k config flow r =
 let run_of ?opt k config flow =
   let opt = match opt with Some m -> m | None -> Atomic.get global_opt_mode in
   Memo.get cache (k.K.slug, config, flow, opt) (fun () ->
-      let cdfg =
-        match opt with Default -> K.cdfg k | Raw | Optimized -> K.cdfg_raw k
-      in
-      let cgra = Cgra_arch.Config.cgra config in
-      let fc = cell_flow_config ~opt k.K.slug config flow in
-      (* Verify the pipeline on the kernel's own input image (plus the
-         pipeline's deterministic defaults would add nothing here: the
-         kernel image is the one the golden check below uses). *)
-      let opt_verify =
-        match opt with
-        | Optimized ->
-          Some (Cgra_opt.Pipeline.verifier_of_mems [ K.fresh_mem k ])
-        | Default | Raw -> None
-      in
-      let t0 = Clock.now () in
-      match Cgra_core.Flow.run ~config:fc ?opt_verify cgra cdfg with
-      | Error f ->
+      let target = Cgra_arch.Config.to_string config ^ "/" ^ flow_label flow in
+      match
+        Chain.run ~opt
+          ~config:(cell_flow_config ~opt k.K.slug config flow)
+          (Cgra_arch.Config.cgra config) (Chain.of_kernel k)
+      with
+      | Error failure -> raise (Failed { kernel = k.K.name; target; failure })
+      | Ok (Chain.Timed_out { where }) ->
+        failwith ("Runner: cell timed out without a deadline at " ^ where)
+      | Ok (Chain.Unmappable { failure; map_seconds }) ->
         Unmappable
-          { reason = f.Cgra_core.Flow.reason;
-            compile_seconds = Clock.elapsed_s t0;
-            compile_work = f.Cgra_core.Flow.work }
-      | Ok (mapping, stats) -> (
-        let compile_seconds = Clock.elapsed_s t0 in
-        let compile_work = stats.Cgra_core.Flow.work in
-        match Cgra_asm.Assemble.assemble mapping with
-        | exception Cgra_asm.Assemble.Assembly_error e ->
-          (* register-file pressure the search does not model; report as
-             unmappable rather than crash the harness *)
-          Unmappable
-            { reason = "assembly: " ^ e; compile_seconds; compile_work }
-        | program ->
-          let target =
-            Cgra_arch.Config.to_string config ^ "/" ^ flow_label flow
-          in
-          (* Every memoised artifact goes through the independent validator
-             exactly once; a violation is a mapper/assembler bug. *)
-          (match Cgra_verify.Validator.check program with
-           | [] -> ()
-           | vs ->
-             raise
-               (Invalid_artifact
-                  { kernel = k.K.name;
-                    target;
-                    violations = List.map Cgra_verify.Validator.to_string vs }));
-          let mem = K.fresh_mem k in
-          let sim = Cgra_sim.Simulator.run program ~mem in
-          if mem <> K.run_golden k then
-            raise (Golden_mismatch { kernel = k.K.name; target });
-          let energy = Cgra_power.Energy.cgra cgra sim in
-          let r =
-            { mapping; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
-              compile_seconds; compile_work;
-              retries_used = stats.Cgra_core.Flow.retries_used;
-              search = stats.Cgra_core.Flow.search;
-              opt_stats = stats.Cgra_core.Flow.opt }
-          in
-          publish_artifact opt k config flow r;
-          Mapped r))
+          { reason = failure.Cgra_core.Flow.reason;
+            compile_seconds = map_seconds;
+            compile_work = failure.Cgra_core.Flow.work }
+      | Ok (Chain.Mapped c) ->
+        let stats = c.Chain.stats in
+        let r =
+          { mapping = c.Chain.mapping; program = c.Chain.program;
+            sim = c.Chain.sim; cycles = c.Chain.sim.Cgra_sim.Simulator.cycles;
+            energy = c.Chain.energy; compile_seconds = c.Chain.map_seconds;
+            compile_work = stats.Cgra_core.Flow.work;
+            retries_used = stats.Cgra_core.Flow.retries_used;
+            search = stats.Cgra_core.Flow.search;
+            opt_stats = stats.Cgra_core.Flow.opt }
+        in
+        publish_artifact opt k config flow r;
+        Mapped r)
 
 type cpu_run = {
   cpu_sim : Cgra_cpu.Cpu_sim.result;
@@ -318,12 +267,10 @@ let cpu_of k =
       let mem = K.fresh_mem k in
       let cpu_sim = Cgra_cpu.Cpu_sim.run prog ~mem in
       if mem <> K.run_golden k then
-        raise (Golden_mismatch { kernel = k.K.name; target = "cpu" });
+        raise
+          (Failed
+             { kernel = k.K.name; target = "cpu"; failure = Chain.Golden_mismatch });
       { cpu_sim; cpu_energy = Cgra_power.Energy.cpu cpu_sim })
-
-let compile_seconds_of = function
-  | Mapped r -> r.compile_seconds
-  | Unmappable u -> u.compile_seconds
 
 let compile_work_of = function
   | Mapped r -> r.compile_work

@@ -1,7 +1,8 @@
 (** Shared machinery of the experiment harness: runs (kernel x
-    configuration x flow) cells through the full tool-chain — mapping,
-    assembly, cycle-level simulation with functional check against the
-    golden model — and memoizes the results so every figure reuses them.
+    configuration x flow) cells through {!Cgra_verify.Chain} — mapping,
+    assembly, independent validation, cycle-level simulation with
+    functional check against the golden model, energy — and memoizes the
+    results so every figure reuses them.
 
     The memo cache is thread-safe: {!run_of} and {!cpu_of} may be called
     from any number of domains concurrently (e.g. via {!warm}), and each
@@ -13,17 +14,16 @@
     results are independent of evaluation order and of the number of
     domains — all artifacts are byte-identical at any [--jobs] value. *)
 
-exception Golden_mismatch of { kernel : string; target : string }
-(** A produced mapping simulated to a memory image different from the
-    golden model ([target] is ["<config>/<flow>"] or ["cpu"]) — a tool
-    bug; the harness refuses to report numbers from it.  Registered with
-    [Printexc.register_printer]. *)
-
 exception
-  Invalid_artifact of { kernel : string; target : string; violations : string list }
-(** The independent [Cgra_verify] validator found violations in a
-    memoised artifact — likewise a tool bug, likewise cached and
-    re-raised to every consumer. *)
+  Failed of {
+    kernel : string;
+    target : string;  (** ["<config>/<flow>"], or ["cpu"] *)
+    failure : Cgra_verify.Chain.failure;
+  }
+(** The chain refused a cell — an invalid artifact, a golden-model
+    mismatch, a simulator error: a tool bug the harness refuses to report
+    numbers from.  Cached and re-raised to every consumer of the cell.
+    Registered with [Printexc.register_printer]. *)
 
 (** Thread-safe single-flight memoisation, the machinery under {!run_of}
     and {!cpu_of}.  Exposed so the exception-safety contract is testable
@@ -71,25 +71,16 @@ type flow_kind = Basic | With_acmap | With_ecmap | Full
 
 val flow_kinds : flow_kind list
 val flow_label : flow_kind -> string
-val flow_config : flow_kind -> Cgra_core.Flow_config.t
 
-type opt_mode =
-  | Default    (** the seed behaviour: inline-optimized lowering *)
-  | Raw        (** naive lowering, no optimization at all *)
-  | Optimized  (** naive lowering + the [cgra_opt] pipeline *)
+type opt_mode = Cgra_verify.Chain.opt = Default | Raw | Optimized
 (** Which CDFG a cell maps.  [Raw] and [Optimized] cells carry their mode
     in the cache key and in the RNG cell key, so they coexist with
     (and never perturb) the byte-identical [Default] artifacts. *)
-
-val opt_mode_label : opt_mode -> string
-(** [""], ["+RAW"], ["+OPT"]. *)
 
 val set_opt_mode : opt_mode -> unit
 (** Set the process-wide default mode used when {!run_of} is called
     without [?opt] — how the bench [--opt] flag switches whole artifacts
     to optimized kernels.  Call before any cells are computed. *)
-
-val opt_mode : unit -> opt_mode
 
 val cell_flow_config :
   ?opt:opt_mode ->
@@ -97,13 +88,13 @@ val cell_flow_config :
   Cgra_arch.Config.name ->
   flow_kind ->
   Cgra_core.Flow_config.t
-(** [cell_flow_config slug config flow] is {!flow_config} with the seed
-    replaced by the cell-keyed split described above (and, for
-    [~opt:Optimized], the [optimize] knob set).  Exposed so tests can
-    reproduce a single cell outside the cache. *)
+(** [cell_flow_config slug config flow] is the flow's configuration with
+    the seed replaced by the cell-keyed split described above.  Exposed
+    so tests can reproduce a single cell outside the cache. *)
 
 type run = {
   mapping : Cgra_core.Mapping.t;
+  program : Cgra_asm.Assemble.program;  (** the validated, simulated program *)
   sim : Cgra_sim.Simulator.result;
   cycles : int;
   energy : Cgra_power.Energy.breakdown;
@@ -136,13 +127,10 @@ val run_of :
   flow_kind ->
   cell
 (** Memoized; safe to call concurrently.  [opt] defaults to the
-    process-wide mode ({!set_opt_mode}).  Every computed artifact is
-    re-checked by the independent [Cgra_verify] validator (raising
-    {!Invalid_artifact} on a violation) and simulated against the golden
-    model (raising {!Golden_mismatch} on disagreement) — either failure
-    is cached and re-raised to every consumer.  [Optimized] cells are
-    verified three ways: differentially inside the pipeline, by the
-    validator, and end-to-end here. *)
+    process-wide mode ({!set_opt_mode}).  A chain failure raises
+    {!Failed}, cached and re-raised to every consumer.  [Optimized] cells
+    are verified three ways: differentially inside the pipeline, by the
+    validator, and end-to-end against the golden model. *)
 
 type cpu_run = {
   cpu_sim : Cgra_cpu.Cpu_sim.result;
@@ -152,7 +140,6 @@ type cpu_run = {
 val cpu_of : Cgra_kernels.Kernel_def.t -> cpu_run
 (** Memoized; also checked against the golden model. *)
 
-val compile_seconds_of : cell -> float
 val compile_work_of : cell -> int
 val kernels : Cgra_kernels.Kernel_def.t list
 

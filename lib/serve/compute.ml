@@ -1,5 +1,4 @@
-module K = Cgra_kernels.Kernel_def
-module FC = Cgra_core.Flow_config
+module Chain = Cgra_verify.Chain
 
 type outcome =
   | Artifact of { bytes : string; digest : string }
@@ -8,117 +7,45 @@ type outcome =
 
 let ( let* ) = Result.bind
 
-let cdfg_of (spec : Key.spec) =
+let kernel_of (spec : Key.spec) =
   match spec.Key.kernel with
   | Key.Bundled { slug; source = _ } -> (
     match Cgra_kernels.Kernels.by_slug slug with
     | None -> Error (Printf.sprintf "unknown kernel %S" slug)
-    | Some k -> (
-      match spec.Key.opt with
-      | Key.Default -> Ok (K.cdfg k)
-      | Key.Raw | Key.Optimized -> Ok (K.cdfg_raw k)))
-  | Key.Inline { source; _ } -> (
-    let raw =
-      match spec.Key.opt with
-      | Key.Default -> false
-      | Key.Raw | Key.Optimized -> true
-    in
-    match Cgra_lang.Compile.compile ~raw source with
-    | Ok cdfg -> Ok cdfg
-    | Error e ->
-      Error ("kernel source: " ^ Cgra_lang.Compile.error_to_string e))
+    | Some k -> Ok (Chain.of_kernel k))
+  | Key.Inline { source; mem_words } ->
+    Ok
+      {
+        Chain.name = "inline";
+        lower =
+          (fun ~raw ->
+            Result.map_error Cgra_lang.Compile.error_to_string
+              (Cgra_lang.Compile.compile ~raw source));
+        fresh_mem = (fun () -> Array.make mem_words 0);
+        golden = None;
+      }
 
-let bundled_kernel (spec : Key.spec) =
-  match spec.Key.kernel with
-  | Key.Bundled { slug; _ } -> Cgra_kernels.Kernels.by_slug slug
-  | Key.Inline _ -> None
-
-let fresh_mem (spec : Key.spec) =
-  match spec.Key.kernel with
-  | Key.Bundled { slug; _ } -> (
-    match Cgra_kernels.Kernels.by_slug slug with
-    | Some k -> K.fresh_mem k
-    | None -> assert false (* cdfg_of already resolved the slug *))
-  | Key.Inline { mem_words; _ } -> Array.make mem_words 0
-
-let run ?(deadline = Cgra_util.Deadline.never) (spec : Key.spec) =
-  let* cdfg = cdfg_of spec in
+let run_kernel ?deadline (spec : Key.spec) kernel =
   let* fc = Key.config_of_knobs spec.Key.knobs in
-  let fc =
-    {
-      fc with
-      FC.optimize = (spec.Key.opt = Key.Optimized);
-      faults = spec.Key.faults;
-    }
-  in
-  let cgra = Cgra_arch.Config.cgra spec.Key.config in
-  let* () =
-    (* Surface bad tile ids in the fault map as a request error before
-       mapping, exactly like [cgra_map map --faults]. *)
-    if spec.Key.faults = [] then Ok ()
-    else
-      match Cgra_arch.Cgra.degrade cgra spec.Key.faults with
-      | _ -> Ok ()
-      | exception Invalid_argument e -> Error ("fault map: " ^ e)
-  in
-  let opt_verify =
-    match (spec.Key.opt, bundled_kernel spec) with
-    | Key.Optimized, Some k ->
-      Some (Cgra_opt.Pipeline.verifier_of_mems [ K.fresh_mem k ])
-    | _ -> None
-  in
-  match Cgra_core.Flow.run ~config:fc ~deadline ?opt_verify cgra cdfg with
-  | exception Cgra_opt.Pipeline.Verification_failed _ ->
-    Error "optimization pipeline failed differential verification"
-  | Error { Cgra_core.Flow.timed_out = Some where; _ } ->
-    (* Not a verdict about the kernel — the caller must not memoise it. *)
-    Ok (Timed_out { where })
-  | Error f -> Ok (Unmappable { reason = f.Cgra_core.Flow.reason })
-  | Ok (m, _stats) -> (
-    match Cgra_asm.Assemble.assemble m with
-    | exception Cgra_asm.Assemble.Assembly_error e ->
-      (* register-file pressure the search does not model — same
-         unmappable classification the Runner uses *)
-      Ok (Unmappable { reason = "assembly: " ^ e })
-    | prog -> (
-      let mem = fresh_mem spec in
-      (* Protection changes simulation and energy, never the mapping:
-         protected requests fetch through the ECC decoder (with the
-         default scrub cadence) and pay the protection energy terms.
-         With protection off, both calls are exactly the pre-existing
-         ones, keeping artifacts byte-identical. *)
-      let protect =
-        if Cgra_arch.Protection.is_none fc.FC.protection then None
-        else
-          Some
-            {
-              Cgra_sim.Simulator.profile = fc.FC.protection;
-              upsets = [];
-              scrub_interval = Cgra_arch.Protection.default_scrub_interval;
-            }
-      in
-      match Cgra_sim.Simulator.run ?protect prog ~mem with
-      | exception Cgra_sim.Simulator.Sim_error e ->
-        Error
-          ("simulation failed: " ^ Cgra_sim.Simulator.error_to_string e)
-      | sim ->
-        let* () =
-          match bundled_kernel spec with
-          | Some k when mem <> K.run_golden k ->
-            Error
-              (Printf.sprintf
-                 "golden-model mismatch for kernel %s — tool bug, refusing \
-                  to cache"
-                 k.K.slug)
-          | _ -> Ok ()
-        in
-        let energy =
-          match protect with
-          | None -> Cgra_power.Energy.cgra cgra sim
-          | Some _ ->
-            Cgra_power.Energy.cgra ~protect:fc.FC.protection cgra sim
-        in
-        let bytes =
-          Artifact.render ~key_digest:(Key.digest spec) ~spec prog sim energy
-        in
-        Ok (Artifact { bytes; digest = Artifact.digest bytes })))
+  let config = { fc with Cgra_core.Flow_config.faults = spec.Key.faults } in
+  match
+    Chain.run ?deadline ~opt:spec.Key.opt ~config
+      (Cgra_arch.Config.cgra spec.Key.config)
+      kernel
+  with
+  | Error f ->
+    Error
+      (Printf.sprintf "%s: %s" kernel.Chain.name (Chain.failure_to_string f))
+  | Ok (Chain.Timed_out { where }) -> Ok (Timed_out { where })
+  | Ok (Chain.Unmappable { failure; _ }) ->
+    Ok (Unmappable { reason = failure.Cgra_core.Flow.reason })
+  | Ok (Chain.Mapped m) ->
+    let bytes =
+      Artifact.render ~key_digest:(Key.digest spec) ~spec m.Chain.program
+        m.Chain.sim m.Chain.energy
+    in
+    Ok (Artifact { bytes; digest = Artifact.digest bytes })
+
+let run ?deadline spec =
+  let* kernel = kernel_of spec in
+  run_kernel ?deadline spec kernel

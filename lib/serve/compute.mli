@@ -1,12 +1,12 @@
-(** The one compute path behind every cache miss.
+(** The compute path behind every cache miss: a {!Key.spec} run through
+    {!Cgra_verify.Chain} and rendered with {!Artifact.render}.
 
-    [cgra_mapd] workers, the [cgra_map remote] local fallback and the
-    [cgra_map map --emit] artifact writer all call {!run} on the same
-    {!Key.spec}, so a warm daemon, a cold daemon and a local build
-    produce byte-identical artifacts by construction: compile → optional
-    [cgra_opt] pipeline → map ([Cgra_core.Flow.run], degraded by the
-    spec's fault map) → assemble → cycle-level simulation (with golden
-    check for bundled kernels) → energy model → {!Artifact.render}. *)
+    [cgra_mapd] workers and the [cgra_map remote] local fallback call
+    {!run}; [cgra_map map --emit] runs the same chain on the same flow
+    configuration and renders the same bytes.  The chain maps onto the
+    configured array degraded by the spec's fault map, validates,
+    simulates (with golden check for bundled kernels) and prices energy
+    on the configured array. *)
 
 type outcome =
   | Artifact of { bytes : string; digest : string }
@@ -23,7 +23,16 @@ type outcome =
 val run : ?deadline:Cgra_util.Deadline.t -> Key.spec -> (outcome, string) result
 (** [Error] is a request problem (source does not compile, bad knob,
     invalid fault map for the array) or a tool bug surfaced as a typed
-    message (golden-model mismatch, simulator error) — never an escaped
-    exception.  [deadline] bounds the mapping flow (compile, assembly
+    message (invalid artifact, golden-model mismatch, simulator error) —
+    never an escaped exception, and never stored.  [deadline] bounds the mapping flow (compile, assembly
     and simulation are not under it — they are orders of magnitude
     cheaper than a hard map); expiry yields [Ok (Timed_out _)]. *)
+
+val run_kernel :
+  ?deadline:Cgra_util.Deadline.t ->
+  Key.spec ->
+  Cgra_verify.Chain.kernel ->
+  (outcome, string) result
+(** {!run} on a kernel the caller resolved: [kernel] stands in for
+    [spec.kernel], every other field (and the embedded key digest) is
+    [spec]'s.  {!run} is [run_kernel] on the spec's own kernel. *)

@@ -1,6 +1,6 @@
 module FC = Cgra_core.Flow_config
 
-type opt = Default | Raw | Optimized
+type opt = Cgra_verify.Chain.opt = Default | Raw | Optimized
 
 let opt_to_string = function
   | Default -> "default"

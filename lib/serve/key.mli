@@ -10,11 +10,12 @@
     single-flight dedup sound.
 
     Deliberately excluded from the key (proven bytes-neutral):
-    [expand_jobs] (RNG-free parallel expansion), [validate] (checks only)
-    and [optimize] (subsumed by the {!opt} mode). *)
+    [expand_jobs] (RNG-free parallel expansion) and [optimize] (subsumed
+    by the {!opt} mode). *)
 
-type opt = Default | Raw | Optimized
-(** Which CDFG the flow maps — mirrors [Cgra_exp.Runner.opt_mode]. *)
+type opt = Cgra_verify.Chain.opt = Default | Raw | Optimized
+(** Which CDFG the flow maps — the chain's lowering mode, also
+    [Cgra_exp.Runner.opt_mode]. *)
 
 val opt_to_string : opt -> string
 val opt_of_string : string -> opt option
@@ -36,11 +37,6 @@ type spec = {
   opt : opt;
   faults : Cgra_arch.Cgra.fault list;
 }
-
-val code_version : string
-(** Baked into every digest: bump it when mapper/assembler/simulator
-    changes can alter artifact bytes, and every stale store entry
-    silently becomes a miss. *)
 
 val knobs_of_config : Cgra_core.Flow_config.t -> (string * string) list
 (** All semantic knobs of a flow configuration (traversal, filters,

@@ -1,11 +1,6 @@
 module Runner = Cgra_exp.Runner
 module K = Cgra_kernels.Kernel_def
 
-let opt_of_runner = function
-  | Runner.Default -> Key.Default
-  | Runner.Raw -> Key.Raw
-  | Runner.Optimized -> Key.Optimized
-
 let backend store : Runner.artifact_backend =
  fun opt k config flow (r : Runner.run) ->
   let spec =
@@ -13,7 +8,7 @@ let backend store : Runner.artifact_backend =
       Key.kernel = Key.Bundled { slug = k.K.slug; source = k.K.source };
       config;
       knobs = Key.knobs_of_config (Runner.cell_flow_config ~opt k.K.slug config flow);
-      opt = opt_of_runner opt;
+      opt;
       faults = [];
     }
   in
@@ -21,9 +16,9 @@ let backend store : Runner.artifact_backend =
   match Store.find store key_digest with
   | Store.Hit _ -> ()
   | Store.Miss | Store.Evicted_corrupt _ ->
-    let prog = Cgra_asm.Assemble.assemble r.Runner.mapping in
     let bytes =
-      Artifact.render ~key_digest ~spec prog r.Runner.sim r.Runner.energy
+      Artifact.render ~key_digest ~spec r.Runner.program r.Runner.sim
+        r.Runner.energy
     in
     Store.put store key_digest bytes
 

@@ -119,6 +119,11 @@ type protect = {
 module P = Cgra_arch.Protection
 module Ecc = Cgra_asm.Ecc
 
+(* An all-Unprotected profile takes the unprotected path, bit for bit. *)
+let protect_of profile =
+  if P.is_none profile then None
+  else Some { profile; upsets = []; scrub_interval = P.default_scrub_interval }
+
 (* Per-tile execution cursor within a section: remaining pnop cycles and
    the instruction stream. *)
 type cursor = { mutable stream : Isa.instr list; mutable sleep : int }

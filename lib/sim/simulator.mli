@@ -122,6 +122,11 @@ type protect = {
     The scrubber additionally sweeps all protected words every
     [scrub_interval] cycles in the background. *)
 
+val protect_of : Cgra_arch.Protection.profile -> protect option
+(** The fault-free run of a profile: no upsets, the default scrub
+    cadence; [None] for an all-Unprotected profile, so that run takes
+    the unprotected path. *)
+
 val run :
   ?mem_ports:int ->
   ?max_blocks:int ->

@@ -90,15 +90,13 @@ val run_campaign :
     (the protection report's mode); default [false].  Omitting both
     keeps the campaign byte-identical to the pre-existing one. *)
 
-val sample_permanent : Cgra_util.Rng.t -> Cgra_arch.Cgra.t -> Cgra_arch.Cgra.fault
-(** One random permanent fault on the (pristine) array: 20% dead tile,
-    40% stuck CM rows (1..cm of the tile), 25% dead link, 15% broken LSU.
-    Draws a bounded number of values from [rng], so sampling is
-    deterministic for a given stream position. *)
-
 val sample_fault_map :
   Cgra_util.Rng.t -> Cgra_arch.Cgra.t -> faults:int -> Cgra_arch.Cgra.fault list
-(** [faults] independent draws of {!sample_permanent}, in draw order. *)
+(** [faults] independent random permanent faults on the (pristine)
+    array, in draw order: each 20% dead tile, 40% stuck CM rows (1..cm of
+    the tile), 25% dead link, 15% broken LSU.  Each draw takes a bounded
+    number of values from [rng], so sampling is deterministic for a given
+    stream position. *)
 
 val tiles : Cgra_arch.Cgra.t -> Cgra_arch.Cgra.fault -> int list
 (** Tiles the fault touches: the owning tile for [Dead_tile],

@@ -1,5 +1,4 @@
 module M = Cgra_core.Mapping
-module Flow = Cgra_core.Flow
 module Asm = Cgra_asm.Assemble
 module Isa = Cgra_arch.Isa
 module Cgra = Cgra_arch.Cgra
@@ -358,11 +357,3 @@ let check_program (p : Asm.program) =
   List.rev !acc
 
 let check (p : Asm.program) = check_mapping p.Asm.mapping @ check_program p
-
-let validate_mapping (m : M.t) =
-  match Asm.assemble m with
-  | exception Asm.Assembly_error e ->
-    [ "assembly failed: " ^ e ]
-  | p -> List.map to_string (check p)
-
-let install () = Flow.set_validator validate_mapping

@@ -63,12 +63,3 @@ val check_program : Cgra_asm.Assemble.program -> violation list
 val check : Cgra_asm.Assemble.program -> violation list
 (** {!check_mapping} on the embedded mapping followed by
     {!check_program}; [[]] means the artifact is clean. *)
-
-val validate_mapping : Cgra_core.Mapping.t -> string list
-(** Assembles the mapping (reporting {!Cgra_asm.Assemble.Assembly_error}
-    as a violation rather than raising) and renders {!check}'s result as
-    strings — the shape {!Cgra_core.Flow.set_validator} expects. *)
-
-val install : unit -> unit
-(** Registers {!validate_mapping} with {!Cgra_core.Flow.set_validator} so
-    [Flow_config.validate] can reach it.  Idempotent. *)

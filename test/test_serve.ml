@@ -172,10 +172,8 @@ let test_key_sensitivity () =
     }
 
 let test_key_excluded_knobs () =
-  (* expand_jobs and validate are bytes-neutral and must not appear *)
-  let flow =
-    { Cgra_core.Flow_config.basic with expand_jobs = 7; validate = true }
-  in
+  (* expand_jobs is bytes-neutral and must not appear *)
+  let flow = { Cgra_core.Flow_config.basic with expand_jobs = 7 } in
   Alcotest.(check string) "bytes-neutral fields are not keyed"
     (Key.digest (fir_spec ()))
     (Key.digest (fir_spec ~flow ()))

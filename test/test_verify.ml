@@ -659,15 +659,7 @@ let test_repair_campaign_incremental_deterministic () =
         (a.R.trace.R.injected = b.R.trace.R.injected))
     c1.R.runs full.R.runs
 
-(* ---- Flow integration: validate + degrade ----------------------------- *)
-
-let test_flow_validate_passes () =
-  Cgra_verify.Validator.install ();
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
-  let config = { FC.basic with FC.validate = true } in
-  match Flow.run ~config (Config.cgra Config.HOM64) (K.cdfg k) with
-  | Ok _ -> ()
-  | Error f -> Alcotest.fail ("validated flow failed: " ^ f.Flow.reason)
+(* ---- Flow integration: degrade ---------------------------------------- *)
 
 let test_degrade_noop_on_mappable () =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
@@ -703,22 +695,6 @@ let test_degrade_gave_up_trace () =
        Alcotest.(check bool) "escalation renders" true
          (String.length (Flow.escalation_to_string e1) > 0)
      | _ -> Alcotest.fail "expected 3 escalations")
-
-let test_validate_without_validator_is_typed () =
-  (* A fresh Flow in a process without [install] cannot be simulated here
-     (install is process-global), but the error path for a validator that
-     rejects everything is still reachable. *)
-  Flow.set_validator (fun _ -> [ "synthetic violation" ]);
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
-  let config = { FC.basic with FC.validate = true } in
-  let r = Flow.run ~config (Config.cgra Config.HOM64) (K.cdfg k) in
-  (* restore the real validator for any later test *)
-  Cgra_verify.Validator.install ();
-  match r with
-  | Ok _ -> Alcotest.fail "rejecting validator must fail the flow"
-  | Error f ->
-    Alcotest.(check bool) "reason names the validation" true
-      (contains_sub ~sub:"validation failed" f.Flow.reason)
 
 let suite =
   [ ( "verify",
@@ -760,11 +736,7 @@ let suite =
           test_repair_campaign_deterministic;
         Alcotest.test_case "repair campaign: incremental jobs-independent"
           `Quick test_repair_campaign_incremental_deterministic;
-        Alcotest.test_case "flow: validate passes on real mapping" `Quick
-          test_flow_validate_passes;
         Alcotest.test_case "flow: degrade is a no-op when mappable" `Quick
           test_degrade_noop_on_mappable;
         Alcotest.test_case "flow: gave-up trace on starved fabric" `Quick
-          test_degrade_gave_up_trace;
-        Alcotest.test_case "flow: rejecting validator fails typed" `Quick
-          test_validate_without_validator_is_typed ] ) ]
+          test_degrade_gave_up_trace ] ) ]
